@@ -1,7 +1,8 @@
 """The regression gate: diff a results directory against baselines.
 
-``repro bench compare`` loads two directories of artifacts (upgrading
-legacy shapes on the fly), matches them by artifact name and diffs
+``repro bench compare`` loads two directories of artifacts (each one
+validated against the current schema), matches them by artifact name
+and diffs
 every metric whose direction the registry declares:
 
 * ``metrics`` (deterministic) are gated unconditionally;
@@ -26,7 +27,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.bench.gate import perf_enforced
 from repro.bench.registry import HIGHER, metric_direction
-from repro.bench.schema import BenchFormatError, upgrade_payload
+from repro.bench.schema import BenchFormatError, validate_payload
 from repro.errors import ConfigurationError
 
 #: Default relative tolerance before a gated move counts as a regression.
@@ -172,7 +173,7 @@ class CompareReport:
 
 
 def load_results_dir(path: Path) -> Dict[str, Dict[str, Any]]:
-    """Read every ``*.json`` artifact in a directory, upgraded + valid.
+    """Read every ``*.json`` artifact in a directory, validated.
 
     Returns artifact payloads keyed by artifact name.  A missing or
     file-typed path raises :class:`ConfigurationError`; an unreadable or
@@ -191,10 +192,10 @@ def load_results_dir(path: Path) -> Dict[str, Dict[str, Any]]:
                 f"{artifact_path}: not readable JSON: {error}"
             ) from None
         try:
-            payload = upgrade_payload(raw)
+            validate_payload(raw)
         except BenchFormatError as error:
             raise BenchFormatError(f"{artifact_path}: {error}") from None
-        payloads[str(payload["name"])] = payload
+        payloads[str(raw["name"])] = dict(raw)
     return payloads
 
 

@@ -17,9 +17,7 @@ comparison contracts:
 
 ``details`` carries free-form context (grids, per-cell tables) and
 ``host`` records where the artifact was produced; neither is ever
-compared.  Older ad-hoc artifacts are lifted into the current schema by
-:func:`upgrade_payload`, so committed baselines stay readable without
-hand regeneration.
+compared.
 """
 
 from __future__ import annotations
@@ -67,8 +65,7 @@ class HostProvenance:
     Attributes:
         platform: ``platform.platform()`` of the producing host.
         python_version: Interpreter version string.
-        cpu_count: Logical CPUs (0 when unknown, e.g. upgraded legacy
-            artifacts that never recorded it).
+        cpu_count: Logical CPUs (0 when the platform cannot tell).
         code_version: Package/spec version stamp
             (:data:`repro.exec.spec.CODE_VERSION`).
     """
@@ -85,16 +82,6 @@ class HostProvenance:
             platform=platform.platform(),
             python_version=platform.python_version(),
             cpu_count=os.cpu_count() or 0,
-        )
-
-    @classmethod
-    def unknown(cls) -> "HostProvenance":
-        """Placeholder for legacy artifacts that recorded no host."""
-        return cls(
-            platform="unknown",
-            python_version="unknown",
-            cpu_count=0,
-            code_version="unknown",
         )
 
     def to_dict(self) -> Dict[str, Union[str, int]]:
@@ -291,8 +278,8 @@ def validate_payload(payload: Mapping[str, Any]) -> None:
     _require(
         payload.get("schema") == SCHEMA_NAME,
         f"artifact schema must be {SCHEMA_NAME!r}, got "
-        f"{payload.get('schema')!r} (legacy artifacts go through "
-        "upgrade_payload first)",
+        f"{payload.get('schema')!r} (pre-registry artifacts are not "
+        "read; regenerate them with 'repro bench run')",
     )
     version = payload.get("version")
     _require(
@@ -326,137 +313,3 @@ def validate_payload(payload: Mapping[str, Any]) -> None:
         _check_metric_value("measured", str(key), value)
     _require("host" in payload, "artifact is missing host provenance")
     HostProvenance.from_dict(payload["host"])
-
-
-# ---------------------------------------------------------------------------
-# One-shot upgraders for the pre-registry ad-hoc artifacts
-# ---------------------------------------------------------------------------
-
-
-def _upgrade_batch_feed_throughput(
-    payload: Mapping[str, Any],
-) -> Dict[str, Any]:
-    """PR 7's flat artifact: every rate is wall-clock, no host block."""
-    result = BenchResult(
-        name="batch_feed_throughput",
-        parameters={
-            "benchmark": payload.get("benchmark"),
-            "samples": payload.get("samples"),
-            "batch_size": payload.get("batch_size"),
-            "speedup_target": payload.get("speedup_target"),
-        },
-        metrics={},
-        measured={
-            key: float(payload[key])
-            for key in (
-                "scalar_samples_per_s",
-                "batch_samples_per_s",
-                "speedup",
-            )
-            if isinstance(payload.get(key), (int, float))
-        },
-        details={"legacy_version": payload.get("version")},
-        host=HostProvenance.unknown(),
-    )
-    return result.to_payload()
-
-
-def _upgrade_learned_accuracy(payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """PR 9's artifact: summary means become gated accuracy metrics."""
-    comparison = payload.get("comparison", {})
-    summary = comparison.get("summary", {}) if isinstance(
-        comparison, Mapping
-    ) else {}
-    metrics: Dict[str, MetricValue] = {}
-    for model, stats in summary.items():
-        if not isinstance(stats, Mapping):
-            continue
-        for stat in ("mean_accuracy", "mean_overhead_units"):
-            value = stats.get(stat)
-            if isinstance(value, (int, float)):
-                metrics[f"{model}_{stat}"] = float(value)
-    legacy_host = payload.get("host", {})
-    host = HostProvenance.unknown()
-    if isinstance(legacy_host, Mapping):
-        host = HostProvenance(
-            platform=str(legacy_host.get("platform", "unknown")),
-            python_version=str(legacy_host.get("python_version", "unknown")),
-            cpu_count=int(legacy_host.get("cpu_count") or 0),
-            code_version="unknown",
-        )
-    result = BenchResult(
-        name="learned_accuracy",
-        parameters={"n_benchmarks": payload.get("n_benchmarks")},
-        metrics=metrics,
-        measured={},
-        details={
-            "comparison": comparison,
-            "legacy_version": payload.get("version"),
-        },
-        host=host,
-    )
-    return result.to_payload()
-
-
-def _upgrade_serve_scaleout(payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """PR 5's artifact: flat grid summary, cpu_count its only provenance."""
-    measured: Dict[str, MetricValue] = {}
-    for key in (
-        "wire_baseline_samples_per_s",
-        "inprocess_baseline_samples_per_s",
-        "best_samples_per_s",
-        "speedup_vs_wire_baseline",
-    ):
-        value = payload.get(key)
-        if isinstance(value, (int, float)):
-            measured[key] = float(value)
-    result = BenchResult(
-        name="serve_scaleout",
-        parameters={
-            "sessions": payload.get("sessions"),
-            "samples_per_session": payload.get("samples_per_session"),
-            "connections": payload.get("connections"),
-            "min_required_speedup": payload.get("min_required_speedup"),
-            "outcome_digest": payload.get("outcome_digest"),
-        },
-        metrics={},
-        measured=measured,
-        details={"grid": payload.get("grid", [])},
-        host=HostProvenance(
-            platform="unknown",
-            python_version="unknown",
-            cpu_count=int(payload.get("cpu_count") or 0),
-            code_version="unknown",
-        ),
-    )
-    return result.to_payload()
-
-
-def upgrade_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """Lift any known artifact payload into the current schema.
-
-    Current-schema payloads pass through (after validation); the three
-    pre-registry ad-hoc shapes are recognised by their signature keys
-    and rewritten.  Anything else raises :class:`BenchFormatError`.
-    """
-    _require(
-        isinstance(payload, Mapping), "artifact payload must be a mapping"
-    )
-    if payload.get("schema") == SCHEMA_NAME:
-        validate_payload(payload)
-        return dict(payload)
-    keys = set(payload)
-    if {"scalar_samples_per_s", "batch_samples_per_s"} <= keys:
-        upgraded = _upgrade_batch_feed_throughput(payload)
-    elif {"comparison", "n_benchmarks"} <= keys:
-        upgraded = _upgrade_learned_accuracy(payload)
-    elif {"grid", "wire_baseline_samples_per_s"} <= keys:
-        upgraded = _upgrade_serve_scaleout(payload)
-    else:
-        raise BenchFormatError(
-            "unrecognised artifact shape: neither the current "
-            f"{SCHEMA_NAME!r} schema nor a known legacy layout "
-            f"(keys: {sorted(keys)[:8]})"
-        )
-    validate_payload(upgraded)
-    return upgraded

@@ -9,7 +9,7 @@ Exposes the common experiments without writing Python::
     python -m repro sweep pht --jobs 4 --format json
     python -m repro report --jobs 4 --progress
     python -m repro quadrants
-    python -m repro lint src/ --format json   # domain static analysis
+    python -m repro analyze src/ --format json  # domain static analysis
 
 Engine-backed commands (``run``, ``accuracy``, ``sweep``, ``report``)
 share one set of execution flags: ``--jobs N`` fans cells out over
@@ -1127,16 +1127,6 @@ def _cmd_learn_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.devtools.lint import run_lint
-    from repro.devtools.lint.cli import list_rules_text
-
-    if args.list_rules:
-        print(list_rules_text())
-        return 0
-    return run_lint(args.paths, output_format=args.format)
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.devtools.analyze import run_analyze
     from repro.devtools.analyze.cli import list_analyses_text
@@ -2021,31 +2011,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_compare.set_defaults(func=_cmd_bench_compare)
 
-    lint_parser = subparsers.add_parser(
-        "lint",
-        parents=[_format_parent(sarif=True)],
-        help="run the domain-aware static analysis over source paths",
-    )
-    lint_parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint_parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list every registered lint rule and exit",
-    )
-    lint_parser.set_defaults(func=_cmd_lint)
-
     analyze_parser = subparsers.add_parser(
         "analyze",
         parents=[_format_parent(sarif=True)],
         help=(
-            "run the whole-program analyses (checkpoint completeness, "
-            "async blocking, determinism taint, layering, protocol "
-            "conformance) over source paths"
+            "run the domain-aware static analysis (phase ids, predictor "
+            "contract, determinism, checkpoints, layering, protocol) "
+            "over source paths"
         ),
     )
     analyze_parser.add_argument(
@@ -2057,7 +2029,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="list every registered analysis and exit",
+        help="list every registered rule and exit",
     )
     analyze_parser.set_defaults(func=_cmd_analyze)
 

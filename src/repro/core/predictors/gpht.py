@@ -43,7 +43,7 @@ from repro.obs.events import PredictionMade
 
 #: GPHR fill value before any real phase has been observed.  Real phases
 #: are 1-based, so 0 never collides with an observed phase.
-EMPTY_PHASE = 0  # repro-lint: disable=phase-id-range
+EMPTY_PHASE = 0  # repro-analyze: disable=phase-id-range -- GPHR fill sentinel, never a phase
 
 
 class GPHTPredictor(PhasePredictor):

@@ -1,8 +1,7 @@
-"""The built-in whole-program analyses.
+"""The built-in analyses: six per-file rules and five cross-module ones.
 
 Importing this package registers every analysis with the engine's
-registry (the same import-time pattern the lint rules use); call
-:func:`default_analyses` for ready-to-run instances.
+registry; call :func:`default_analyses` for ready-to-run instances.
 """
 
 from __future__ import annotations
@@ -15,9 +14,15 @@ from repro.devtools.analyze.engine import Analysis, registered_analyses
 from repro.devtools.analyze.analyses import (  # noqa: F401
     async_blocking,
     checkpoint,
+    determinism,
+    float_equality,
     layering,
+    mutable_defaults,
+    phase_id_range,
+    predictor_contract,
     protocol,
     taint,
+    units_docstring,
 )
 
 __all__ = ["default_analyses"]

@@ -23,10 +23,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.devtools.lint.engine import Finding
-
 from repro.devtools.analyze.callgraph import CallSite
-from repro.devtools.analyze.engine import Analysis, register_analysis
+from repro.devtools.analyze.engine import Analysis, Finding, register_analysis
 from repro.devtools.analyze.project import Project
 
 #: Exact dotted calls that block the event loop.

@@ -33,9 +33,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.devtools.lint.engine import Finding
-
-from repro.devtools.analyze.engine import Analysis, register_analysis
+from repro.devtools.analyze.engine import Analysis, Finding, register_analysis
 from repro.devtools.analyze.project import Project, ProjectModule
 
 #: The recognised checkpoint pairs, as (export member, restore member).

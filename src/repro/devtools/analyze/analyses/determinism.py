@@ -24,12 +24,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Tuple
 
-from repro.devtools.lint.engine import (
-    Finding,
-    LintRule,
-    ParsedModule,
-    register_rule,
-)
+from repro.devtools.analyze.callgraph import dotted_parts
+from repro.devtools.analyze.engine import Analysis, Finding, register_analysis
+from repro.devtools.analyze.project import Project
+
+#: Packages whose code must stay replayable.
+PACKAGES: Tuple[str, ...] = ("core", "power", "workloads", "obs", "serve", "bench")
 
 #: ``time`` module functions that read the wall clock.
 _CLOCK_CALLS = (
@@ -53,27 +53,35 @@ _SEEDABLE_CONSTRUCTORS = (
 )
 
 
-def _dotted_name(node: ast.expr) -> Optional[str]:
-    """Flatten ``a.b.c`` attribute chains to ``"a.b.c"`` (else None)."""
-    parts = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
-
-
 def _has_seed_argument(call: ast.Call) -> bool:
     if call.args:
         return True
     return any(kw.arg == "seed" for kw in call.keywords)
 
 
-@register_rule
-class DeterminismRule(LintRule):
+def _violation(parts: Tuple[str, ...], call: ast.Call) -> Optional[str]:
+    dotted = ".".join(parts)
+    head, last = parts[0], parts[-1]
+    if dotted in _CLOCK_CALLS or (
+        last in _DATETIME_METHODS and ("datetime" in parts or "date" in parts)
+    ):
+        return f"{dotted}() reads the wall clock; simulation time only"
+    is_stdlib_random = head == "random" and len(parts) > 1
+    is_np_random = head in ("np", "numpy") and len(parts) > 2 and parts[1] == "random"
+    if not (is_stdlib_random or is_np_random):
+        return None
+    if last in _SEEDABLE_CONSTRUCTORS:
+        if _has_seed_argument(call):
+            return None
+        return f"{dotted}() without a seed is not replayable; pass an explicit seed"
+    return (
+        f"{dotted}() uses unseeded global RNG state; use a seeded "
+        "np.random.default_rng(seed) / random.Random(seed) instead"
+    )
+
+
+@register_analysis
+class DeterminismAnalysis(Analysis):
     """Forbid wall-clock and unseeded-RNG calls in simulation packages."""
 
     name = "determinism"
@@ -83,42 +91,17 @@ class DeterminismRule(LintRule):
         "its traces, the serving layer and the benchmark registry must "
         "be replayable; benchmark timing lives in benchmarks/)"
     )
-    packages: Tuple[str, ...] = (
-        "core", "power", "workloads", "obs", "serve", "bench",
-    )
 
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+    def check(self, project: Project) -> Iterator[Finding]:
+        for module in project.modules():
+            if not module.parsed.in_package(*PACKAGES):
                 continue
-            dotted = _dotted_name(node.func)
-            if dotted is None:
-                continue
-            message = self._violation(dotted, node)
-            if message is not None:
-                yield self.finding(module, node, message)
-
-    def _violation(self, dotted: str, call: ast.Call) -> Optional[str]:
-        head, _, tail = dotted.partition(".")
-        last = dotted.rsplit(".", 1)[-1]
-        if dotted in _CLOCK_CALLS:
-            return f"{dotted}() reads the wall clock; simulation time only"
-        if last in _DATETIME_METHODS and (
-            "datetime" in dotted.split(".") or "date" in dotted.split(".")
-        ):
-            return f"{dotted}() reads the wall clock; simulation time only"
-        is_stdlib_random = head == "random" and tail
-        is_np_random = head in ("np", "numpy") and tail.startswith("random.")
-        if not (is_stdlib_random or is_np_random):
-            return None
-        if last in _SEEDABLE_CONSTRUCTORS:
-            if _has_seed_argument(call):
-                return None
-            return (
-                f"{dotted}() without a seed is not replayable; "
-                "pass an explicit seed"
-            )
-        return (
-            f"{dotted}() uses unseeded global RNG state; use a seeded "
-            "np.random.default_rng(seed) / random.Random(seed) instead"
-        )
+            for node in ast.walk(module.parsed.tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                parts = dotted_parts(node.func)
+                message = None if parts is None else _violation(parts, node)
+                if message is not None:
+                    yield self.finding(
+                        module.path, node.lineno, node.col_offset, message
+                    )

@@ -15,12 +15,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Tuple
 
-from repro.devtools.lint.engine import (
-    Finding,
-    LintRule,
-    ParsedModule,
-    register_rule,
-)
+from repro.devtools.analyze.engine import Analysis, Finding, register_analysis
+from repro.devtools.analyze.project import Project
+
+#: Packages where physical quantities are compared.
+PACKAGES: Tuple[str, ...] = ("core", "power")
 
 
 def _is_float_expression(node: ast.expr) -> bool:
@@ -39,8 +38,8 @@ def _is_float_expression(node: ast.expr) -> bool:
     )
 
 
-@register_rule
-class FloatEqualityRule(LintRule):
+@register_analysis
+class FloatEqualityAnalysis(Analysis):
     """Flag ``==``/``!=`` against float expressions in core/ and power/."""
 
     name = "no-float-equality"
@@ -48,23 +47,28 @@ class FloatEqualityRule(LintRule):
         "no ==/!= against float literals in core/ or power/; use "
         "repro.numerics.is_zero/approx_equal or math.isinf/isclose"
     )
-    packages: Tuple[str, ...] = ("core", "power")
 
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Compare):
+    def check(self, project: Project) -> Iterator[Finding]:
+        for module in project.modules():
+            if not module.parsed.in_package(*PACKAGES):
                 continue
-            operands = [node.left] + list(node.comparators)
-            for index, op in enumerate(node.ops):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                pair = (operands[index], operands[index + 1])
-                if any(_is_float_expression(side) for side in pair):
-                    symbol = "==" if isinstance(op, ast.Eq) else "!="
-                    yield self.finding(
-                        module,
-                        node,
-                        f"exact float {symbol} comparison; use "
-                        "repro.numerics helpers (is_zero/approx_equal) or "
-                        "math.isinf/math.isclose",
-                    )
+            for node in ast.walk(module.parsed.tree):
+                if isinstance(node, ast.Compare):
+                    yield from self._check_compare(module.path, node)
+
+    def _check_compare(self, path: str, node: ast.Compare) -> Iterator[Finding]:
+        operands = [node.left] + list(node.comparators)
+        for index, op in enumerate(node.ops):
+            if not isinstance(op, (ast.Eq, ast.NotEq)):
+                continue
+            pair = (operands[index], operands[index + 1])
+            if any(_is_float_expression(side) for side in pair):
+                symbol = "==" if isinstance(op, ast.Eq) else "!="
+                yield self.finding(
+                    path,
+                    node.lineno,
+                    node.col_offset,
+                    f"exact float {symbol} comparison; use "
+                    "repro.numerics helpers (is_zero/approx_equal) or "
+                    "math.isinf/math.isclose",
+                )

@@ -29,7 +29,7 @@ Checks:
    and ``core`` helpers lazily inside functions but never at import
    time (its package docstring states this contract);
 3. **devtools self-containment** — the analyzer may import only itself
-   and ``errors``, so it can lint a broken tree without importing it;
+   and ``errors``, so it can analyze a broken tree without importing it;
 4. **no module-level import cycles** — strongly connected components
    over the module-scope import graph.
 """
@@ -38,9 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.devtools.lint.engine import Finding
-
-from repro.devtools.analyze.engine import Analysis, register_analysis
+from repro.devtools.analyze.engine import Analysis, Finding, register_analysis
 from repro.devtools.analyze.project import ImportEdge, Project, ProjectModule
 
 #: Recognised layer (package) names, for locating a module's layer.

@@ -11,12 +11,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Union
 
-from repro.devtools.lint.engine import (
-    Finding,
-    LintRule,
-    ParsedModule,
-    register_rule,
-)
+from repro.devtools.analyze.engine import Analysis, Finding, register_analysis
+from repro.devtools.analyze.project import Project
 
 _MUTABLE_DISPLAYS = (
     ast.List,
@@ -42,8 +38,8 @@ def _is_mutable_default(node: ast.expr) -> bool:
     )
 
 
-@register_rule
-class MutableDefaultArgsRule(LintRule):
+@register_analysis
+class MutableDefaultArgsAnalysis(Analysis):
     """Flag list/dict/set (display or constructor) default arguments."""
 
     name = "mutable-default-args"
@@ -52,17 +48,15 @@ class MutableDefaultArgsRule(LintRule):
         "default to None and build inside the function"
     )
 
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            yield from self._check_function(module, node)
+    def check(self, project: Project) -> Iterator[Finding]:
+        for module in project.modules():
+            for node in ast.walk(module.parsed.tree):
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+                ):
+                    yield from self._check_function(module.path, node)
 
-    def _check_function(
-        self, module: ParsedModule, node: _FunctionNode
-    ) -> Iterator[Finding]:
+    def _check_function(self, path: str, node: _FunctionNode) -> Iterator[Finding]:
         label = (
             "lambda"
             if isinstance(node, ast.Lambda)
@@ -74,8 +68,9 @@ class MutableDefaultArgsRule(LintRule):
         for default in defaults:
             if _is_mutable_default(default):
                 yield self.finding(
-                    module,
-                    default,
+                    path,
+                    default.lineno,
+                    default.col_offset,
                     f"{label} has a mutable default argument (evaluated "
                     "once, shared across calls); use None instead",
                 )

@@ -5,20 +5,16 @@ policies, the governor — identifies them by 1-based integer id.  An
 integer literal outside 1..6 assigned or compared to a phase-named
 variable is almost certainly an off-by-one (0-based indexing creeping
 in) or a stale magic number.  Intentional sentinels (such as the GPHT's
-``EMPTY_PHASE = 0``) carry an inline suppression.
+``EMPTY_PHASE = 0``) carry a justified inline suppression.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional, Union
 
-from repro.devtools.lint.engine import (
-    Finding,
-    LintRule,
-    ParsedModule,
-    register_rule,
-)
+from repro.devtools.analyze.engine import Analysis, Finding, register_analysis
+from repro.devtools.analyze.project import Project
 
 #: Valid phase ids per the paper's Table 1.
 PHASE_MIN = 1
@@ -57,8 +53,8 @@ def _int_literal(node: ast.expr) -> Optional[int]:
     return None
 
 
-@register_rule
-class PhaseIdRangeRule(LintRule):
+@register_analysis
+class PhaseIdRangeAnalysis(Analysis):
     """Flag phase-named targets bound or equated to out-of-range ints."""
 
     name = "phase-id-range"
@@ -67,42 +63,37 @@ class PhaseIdRangeRule(LintRule):
         f"variables must lie in {PHASE_MIN}..{PHASE_MAX} (Table 1)"
     )
 
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                yield from self._check_assignment(module, node)
-            elif isinstance(node, ast.Compare):
-                yield from self._check_comparison(module, node)
+    def check(self, project: Project) -> Iterator[Finding]:
+        for module in project.modules():
+            for node in ast.walk(module.parsed.tree):
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    yield from self._check_assignment(module.path, node)
+                elif isinstance(node, ast.Compare):
+                    yield from self._check_comparison(module.path, node)
 
     def _check_assignment(
-        self, module: ParsedModule, node: ast.stmt
+        self, path: str, node: Union[ast.Assign, ast.AnnAssign]
     ) -> Iterator[Finding]:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-            value = node.value
-        else:  # pragma: no cover - guarded by the caller
+        targets: List[ast.expr] = (
+            node.targets if isinstance(node, ast.Assign) else [node.target]
+        )
+        if node.value is None:
             return
-        if value is None:
-            return
-        literal = _int_literal(value)
+        literal = _int_literal(node.value)
         if literal is None or PHASE_MIN <= literal <= PHASE_MAX:
             return
         for target in targets:
             target_name = _target_name(target)
             if target_name is not None and _is_phase_identifier(target_name):
                 yield self.finding(
-                    module,
-                    node,
+                    path,
+                    node.lineno,
+                    node.col_offset,
                     f"{target_name} assigned literal {literal}, outside the "
                     f"valid phase range {PHASE_MIN}..{PHASE_MAX}",
                 )
 
-    def _check_comparison(
-        self, module: ParsedModule, node: ast.Compare
-    ) -> Iterator[Finding]:
+    def _check_comparison(self, path: str, node: ast.Compare) -> Iterator[Finding]:
         operands = [node.left] + list(node.comparators)
         for index, op in enumerate(node.ops):
             if not isinstance(op, (ast.Eq, ast.NotEq)):
@@ -116,8 +107,9 @@ class PhaseIdRangeRule(LintRule):
                 if literal is None or PHASE_MIN <= literal <= PHASE_MAX:
                     continue
                 yield self.finding(
-                    module,
-                    node,
+                    path,
+                    node.lineno,
+                    node.col_offset,
                     f"{named_id} compared to literal {literal}, outside the "
                     f"valid phase range {PHASE_MIN}..{PHASE_MAX}",
                 )

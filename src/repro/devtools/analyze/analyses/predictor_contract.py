@@ -11,14 +11,10 @@ integers 1..6, Table 1).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
-from repro.devtools.lint.engine import (
-    Finding,
-    LintRule,
-    ParsedModule,
-    register_rule,
-)
+from repro.devtools.analyze.engine import Analysis, Finding, register_analysis
+from repro.devtools.analyze.project import Project
 
 #: Methods every concrete predictor must define (the PMI-handler contract).
 REQUIRED_MEMBERS: Tuple[str, ...] = ("name", "observe", "predict")
@@ -49,8 +45,8 @@ def _is_int_literal(node: ast.expr) -> bool:
     )
 
 
-@register_rule
-class PredictorContractRule(LintRule):
+@register_analysis
+class PredictorContractAnalysis(Analysis):
     """Enforce the observe/predict contract on ``PhasePredictor`` subclasses."""
 
     name = "predictor-contract"
@@ -59,33 +55,30 @@ class PredictorContractRule(LintRule):
         "name/observe/predict and keep DEFAULT_PHASE an int"
     )
 
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not _derives_from_predictor(node):
-                continue
-            defined = {
-                stmt.name
-                for stmt in node.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            missing = [m for m in REQUIRED_MEMBERS if m not in defined]
-            if missing:
-                yield self.finding(
-                    module,
-                    node,
-                    f"predictor {node.name!r} does not implement "
-                    f"{', '.join(missing)} (PMI-handler contract)",
-                )
-            yield from self._check_default_phase(module, node)
+    def check(self, project: Project) -> Iterator[Finding]:
+        for module in project.modules():
+            for node in ast.walk(module.parsed.tree):
+                if isinstance(node, ast.ClassDef) and _derives_from_predictor(node):
+                    yield from self._check_class(module.path, node)
 
-    def _check_default_phase(
-        self, module: ParsedModule, node: ast.ClassDef
-    ) -> Iterator[Finding]:
+    def _check_class(self, path: str, node: ast.ClassDef) -> Iterator[Finding]:
+        defined = {
+            stmt.name
+            for stmt in node.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        missing = [m for m in REQUIRED_MEMBERS if m not in defined]
+        if missing:
+            yield self.finding(
+                path,
+                node.lineno,
+                node.col_offset,
+                f"predictor {node.name!r} does not implement "
+                f"{', '.join(missing)} (PMI-handler contract)",
+            )
         for stmt in node.body:
-            target = None
-            value = None
+            target: Optional[ast.expr] = None
+            value: Optional[ast.expr] = None
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
                 target, value = stmt.targets[0], stmt.value
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
@@ -97,8 +90,9 @@ class PredictorContractRule(LintRule):
                 and not _is_int_literal(value)
             ):
                 yield self.finding(
-                    module,
-                    stmt,
+                    path,
+                    stmt.lineno,
+                    stmt.col_offset,
                     f"predictor {node.name!r} shadows DEFAULT_PHASE with a "
                     "non-int value (phase ids are integers)",
                 )

@@ -33,10 +33,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.devtools.lint.engine import Finding
-
 from repro.devtools.analyze.callgraph import dotted_parts
-from repro.devtools.analyze.engine import Analysis, register_analysis
+from repro.devtools.analyze.engine import Analysis, Finding, register_analysis
 from repro.devtools.analyze.project import Project, ProjectModule
 
 #: Handler-name prefix that links an op to its implementation.

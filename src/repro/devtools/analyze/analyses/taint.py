@@ -2,7 +2,7 @@
 
 The repo's determinism contract (bit-for-bit equal results for equal
 inputs) is what makes the paper's phase-prediction results comparable
-across runs.  The per-file lint rule bans wall-clock and unseeded
+across runs.  The per-file ``determinism`` rule bans wall-clock and unseeded
 randomness *syntactically* inside deterministic packages; this analysis
 upgrades that to a flow-sensitive check over the whole project:
 
@@ -38,14 +38,12 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.devtools.lint.engine import Finding
-
 from repro.devtools.analyze.callgraph import (
     CallGraph,
     FunctionInfo,
     dotted_parts,
 )
-from repro.devtools.analyze.engine import Analysis, register_analysis
+from repro.devtools.analyze.engine import Analysis, Finding, register_analysis
 from repro.devtools.analyze.project import Project
 
 #: Exact dotted calls producing nondeterministic values.

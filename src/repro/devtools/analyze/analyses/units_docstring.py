@@ -11,14 +11,13 @@ to guess a scale factor.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Tuple, Union
+from typing import Iterator, Tuple
 
-from repro.devtools.lint.engine import (
-    Finding,
-    LintRule,
-    ParsedModule,
-    register_rule,
-)
+from repro.devtools.analyze.engine import Analysis, Finding, register_analysis
+from repro.devtools.analyze.project import Project
+
+#: Packages whose public API carries physical units.
+PACKAGES: Tuple[str, ...] = ("power", "cpu")
 
 #: Name fragments that advertise a unit when they appear as a whole
 #: ``_``-separated part of a function name.
@@ -45,8 +44,8 @@ def _docstring_mentions_unit(docstring: str) -> bool:
     return any(term in lowered for term in _UNIT_DOC_TERMS)
 
 
-@register_rule
-class UnitsDocstringRule(LintRule):
+@register_analysis
+class UnitsDocstringAnalysis(Analysis):
     """Require unit terms in docstrings of unit-named public functions."""
 
     name = "units-docstring"
@@ -54,29 +53,29 @@ class UnitsDocstringRule(LintRule):
         "public functions in power/ or cpu/ whose names mention "
         "watts/joules/hz must document the unit in their docstring"
     )
-    packages: Tuple[str, ...] = ("power", "cpu")
 
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    def check(self, project: Project) -> Iterator[Finding]:
+        for module in project.modules():
+            if not module.parsed.in_package(*PACKAGES):
                 continue
-            if node.name.startswith("_"):
-                continue
-            if not _name_mentions_unit(node.name):
-                continue
-            docstring = ast.get_docstring(node)
-            if docstring is None:
+            for node in ast.walk(module.parsed.tree):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("_") or not _name_mentions_unit(node.name):
+                    continue
+                docstring = ast.get_docstring(node)
+                if docstring is None:
+                    problem = "has no docstring"
+                elif not _docstring_mentions_unit(docstring):
+                    problem = (
+                        "its docstring never states the unit (watts/joules/hertz)"
+                    )
+                else:
+                    continue
                 yield self.finding(
-                    module,
-                    node,
+                    module.path,
+                    node.lineno,
+                    node.col_offset,
                     f"function {node.name!r} advertises a unit in its name "
-                    "but has no docstring",
-                )
-            elif not _docstring_mentions_unit(docstring):
-                yield self.finding(
-                    module,
-                    node,
-                    f"function {node.name!r} advertises a unit in its name "
-                    "but its docstring never states the unit "
-                    "(watts/joules/hertz)",
+                    f"but {problem}",
                 )

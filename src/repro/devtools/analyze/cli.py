@@ -1,10 +1,9 @@
-"""Command-line front-end of the whole-program analyzer.
+"""Command-line front-end of the static analyzer.
 
 Shared by the packaged CLI (``repro analyze``) and the module entry
 point (``python -m repro.devtools.analyze``): both parse the same
-options and delegate to :func:`run_analyze`.  Output formats and exit
-codes match ``repro lint`` (0 clean, 1 findings, 2 errors), so CI can
-gate on either tool the same way.
+options and delegate to :func:`run_analyze`.  Exit codes are 0 clean,
+1 findings, 2 errors (unreadable or unparsable input).
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ import argparse
 import sys
 from typing import List, Optional, Sequence, TextIO
 
-from repro.devtools.lint.engine import EXIT_CLEAN
 from repro.devtools.reporting import OUTPUT_FORMATS, renderer_for
 
-from repro.devtools.analyze.engine import AnalyzeEngine
+from repro.devtools.analyze.engine import EXIT_CLEAN, AnalyzeEngine
 from repro.devtools.analyze.analyses import default_analyses
 
 #: Paths analyzed when none are given on the command line.
@@ -57,9 +55,10 @@ def build_parser(prog: str = "repro analyze") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
         description=(
-            "Whole-program static analysis: checkpoint completeness, "
-            "async-blocking reachability, determinism taint, layering "
-            "and protocol conformance across src/repro."
+            "Domain-aware static analysis: the paper's phase, predictor, "
+            "determinism and unit invariants per file, plus checkpoint "
+            "completeness, async-blocking reachability, determinism "
+            "taint, layering and protocol conformance across src/repro."
         ),
     )
     parser.add_argument(

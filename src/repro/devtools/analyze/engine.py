@@ -1,17 +1,21 @@
-"""Whole-program analysis engine: registry, suppressions, reports.
+"""The static-analysis engine: findings, registry, suppressions, reports.
 
-Mirrors the per-file lint engine's shape (same :class:`Finding` and
-:class:`LintReport` types, same exit-code semantics) but runs
-:class:`Analysis` objects over a whole :class:`Project` instead of
-rules over single modules.
+One engine runs every rule.  Each :class:`Analysis` receives the whole
+:class:`Project`: per-file rules (``determinism``, ``phase-id-range``,
+...) walk ``project.modules()`` and scope themselves by directory with
+:meth:`ParsedModule.in_package`, while cross-module analyses use the
+import and call graphs.  Every analysis yields :class:`Finding` objects
+that the engine filters through inline suppressions and aggregates into
+a :class:`LintReport` with stable exit codes (:data:`EXIT_CLEAN` /
+:data:`EXIT_FINDINGS` / :data:`EXIT_ERROR`).
 
 Suppression syntax
 ------------------
 
-Cross-module findings assert *invariants* (lossless checkpoints, a
-non-blocking serve path), so silencing one requires saying why::
+Findings assert *invariants* (phase ids in 1..6, lossless checkpoints,
+a non-blocking serve path), so silencing one requires saying why::
 
-    self._governor = self._build_governor(...)  # repro-analyze: disable=checkpoint-completeness -- rebuilt from config on restore
+    EMPTY_PHASE = 0  # repro-analyze: disable=phase-id-range -- GPHT empty-slot sentinel, never a real phase
 
 A ``repro-analyze: disable=`` comment **without** a ``-- <why>``
 justification does not suppress anything; it is itself reported under
@@ -24,16 +28,8 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
-
-from repro.devtools.lint.engine import (
-    EXIT_CLEAN,
-    EXIT_ERROR,
-    EXIT_FINDINGS,
-    Finding,
-    LintReport,
-)
 
 from repro.devtools.analyze.project import Project, load_project
 
@@ -43,11 +39,88 @@ __all__ = [
     "EXIT_FINDINGS",
     "Analysis",
     "AnalyzeEngine",
+    "Finding",
+    "LintReport",
     "Suppression",
     "parse_analyze_suppressions",
     "register_analysis",
     "registered_analyses",
 ]
+
+#: Exit code when no findings (and no errors) were produced.
+EXIT_CLEAN = 0
+#: Exit code when at least one finding survived suppression.
+EXIT_FINDINGS = 1
+#: Exit code on unreadable or syntactically invalid input.
+EXIT_ERROR = 2
+
+
+@dataclass(frozen=True, order=True)
+class Finding:
+    """One rule violation at one source location.
+
+    Attributes:
+        path: Path of the offending file, as given to the engine.
+        line: 1-based line number.
+        col: 0-based column offset.
+        rule: Name of the rule that produced the finding.
+        message: Human-readable description of the violation.
+    """
+
+    path: str
+    line: int
+    col: int
+    rule: str
+    message: str
+
+    def format(self) -> str:
+        """Render in the conventional ``path:line:col: rule: message``."""
+        return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
+
+    def to_dict(self) -> Dict[str, object]:
+        """A JSON-serialisable representation."""
+        return {
+            "path": self.path,
+            "line": self.line,
+            "col": self.col,
+            "rule": self.rule,
+            "message": self.message,
+        }
+
+
+@dataclass
+class LintReport:
+    """Aggregated outcome of one engine run.
+
+    Attributes:
+        findings: Surviving (unsuppressed) findings, sorted by location.
+        files_checked: Number of files successfully parsed and analyzed.
+        errors: Messages for files that could not be read or parsed.
+    """
+
+    findings: List[Finding] = field(default_factory=list)
+    files_checked: int = 0
+    errors: List[str] = field(default_factory=list)
+
+    @property
+    def exit_code(self) -> int:
+        """Process exit code: errors beat findings beat clean."""
+        if self.errors:
+            return EXIT_ERROR
+        if self.findings:
+            return EXIT_FINDINGS
+        return EXIT_CLEAN
+
+    def to_dict(self) -> Dict[str, object]:
+        """A JSON-serialisable representation of the whole report."""
+        return {
+            "files_checked": self.files_checked,
+            "finding_count": len(self.findings),
+            "findings": [f.to_dict() for f in self.findings],
+            "errors": list(self.errors),
+            "exit_code": self.exit_code,
+        }
+
 
 #: Rule name under which malformed suppressions are reported.
 SUPPRESSION_RULE = "suppression"
@@ -104,7 +177,7 @@ def parse_analyze_suppressions(source: str) -> Dict[int, Suppression]:
 
 
 class Analysis(ABC):
-    """One whole-program analysis: inspects a project, yields findings.
+    """One rule: inspects a project, yields findings.
 
     Class attributes:
         name: Stable identifier (reports, suppressions, ``--list-rules``).

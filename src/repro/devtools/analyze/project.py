@@ -1,19 +1,19 @@
-"""Whole-program project model: parsed modules, dotted names, imports.
+"""Project model: parsed modules, dotted names, imports.
 
-The per-file linter (:mod:`repro.devtools.lint`) sees one module at a
-time; the analyses in :mod:`repro.devtools.analyze` need the *project*:
-which modules exist, what each one imports (and whether the import is
-executed at module scope or deferred into a function body), and which
-top-level symbols each module defines.  :class:`Project` is that view,
-built once and shared by every analysis.
+Every analysis in :mod:`repro.devtools.analyze` runs on the *project*:
+which modules exist, what each one parses to, what each one imports
+(and whether the import is executed at module scope or deferred into a
+function body), and which top-level symbols each module defines.
+:class:`Project` is that view, built once and shared by every analysis;
+per-file rules simply walk :meth:`Project.modules`.
 
 Module names are derived from the filesystem: a file belongs to the
 dotted package spelled by the chain of ``__init__.py`` directories above
 it (``src/repro/serve/protocol.py`` → ``repro.serve.protocol``).  Tests
 build projects from in-memory sources via :meth:`Project.from_sources`.
 
-Like the lint engine, everything here is stdlib-``ast`` only, so the
-analyzer runs anywhere the simulator runs.
+Everything here is stdlib-``ast`` only, so the analyzer runs anywhere
+the simulator runs.
 """
 
 from __future__ import annotations
@@ -23,9 +23,51 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.devtools.lint.engine import ParsedModule, iter_python_files
-
 from repro.devtools.analyze.callgraph import CallGraph
+
+
+@dataclass(frozen=True)
+class ParsedModule:
+    """One parsed source file, shared by every analysis that inspects it.
+
+    Attributes:
+        path: The file's path as given to the engine.
+        source: Raw source text.
+        tree: Parsed AST of ``source``.
+    """
+
+    path: str
+    source: str
+    tree: ast.Module
+
+    @classmethod
+    def from_source(cls, source: str, path: str = "<string>") -> "ParsedModule":
+        """Parse ``source`` into a module (raises ``SyntaxError``)."""
+        return cls(path=path, source=source, tree=ast.parse(source, filename=path))
+
+    def in_package(self, *names: str) -> bool:
+        """Whether any directory component of ``path`` is one of ``names``.
+
+        Package-scoped rules (e.g. determinism inside ``core/``) use this
+        so that both ``src/repro/core/x.py`` and test fixtures placed
+        under a ``core/`` directory are matched.
+        """
+        parts = Path(self.path).parts[:-1]
+        return any(part in names for part in parts)
+
+
+def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
+    """Yield every ``.py`` file under ``paths`` in sorted order.
+
+    Directories are walked recursively; file paths are yielded as given.
+    Missing paths are yielded too so the engine can report them.
+    """
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            yield from sorted(path.rglob("*.py"))
+        else:
+            yield path
 
 
 @dataclass(frozen=True)

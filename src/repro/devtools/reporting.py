@@ -1,10 +1,9 @@
-"""Shared report renderers for the devtools CLIs.
+"""Report renderers for the static analyzer.
 
-``repro lint`` and ``repro analyze`` emit the same report shape
-(:class:`repro.devtools.lint.engine.LintReport`: findings, error
+``repro analyze`` produces one report shape
+(:class:`repro.devtools.analyze.engine.LintReport`: findings, error
 messages, a files-checked count, and exit-code semantics).  This module
-is the single place that turns such a report into output, so the two
-front-ends cannot drift:
+is the single place that turns such a report into output:
 
 * :func:`render_text` — one ``path:line:col: rule: message`` line per
   finding plus a one-line summary;
@@ -20,9 +19,10 @@ a format by adding a name here, not by growing another ``if`` ladder.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
-from repro.devtools.lint.engine import LintReport
+if TYPE_CHECKING:  # the analyze package imports this module at load time
+    from repro.devtools.analyze.engine import LintReport
 
 #: SARIF version emitted by :func:`render_sarif`.
 SARIF_VERSION = "2.1.0"
@@ -32,11 +32,11 @@ SARIF_SCHEMA = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 
-#: Formats every devtools CLI accepts, in help-text order.
+#: Formats ``repro analyze`` accepts, in help-text order.
 OUTPUT_FORMATS: Tuple[str, ...] = ("text", "json", "sarif")
 
 
-def render_text(report: LintReport, tool: str = "repro lint") -> str:
+def render_text(report: LintReport, tool: str = "repro analyze") -> str:
     """The human-readable report: one line per finding plus a summary."""
     lines = [finding.format() for finding in report.findings]
     lines.extend(f"error: {message}" for message in report.errors)
@@ -51,14 +51,14 @@ def render_text(report: LintReport, tool: str = "repro lint") -> str:
     return "\n".join(lines)
 
 
-def render_json(report: LintReport, tool: str = "repro lint") -> str:
+def render_json(report: LintReport, tool: str = "repro analyze") -> str:
     """The machine-readable report as a JSON document."""
     payload = report.to_dict()
     payload["tool"] = tool
     return json.dumps(payload, indent=2)
 
 
-def render_sarif(report: LintReport, tool: str = "repro lint") -> str:
+def render_sarif(report: LintReport, tool: str = "repro analyze") -> str:
     """The report as a SARIF 2.1.0 log for CI annotation.
 
     Findings become ``warning``-level results; engine errors (unreadable

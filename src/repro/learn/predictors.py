@@ -36,7 +36,7 @@ from repro.learn.dataset import PhaseWindowDataset
 from repro.learn.tree import DecisionTree
 
 #: Phase-history padding value (real phases are 1-based).
-_PAD_PHASE = 0  # repro-lint: disable=phase-id-range
+_PAD_PHASE = 0  # repro-analyze: disable=phase-id-range -- history padding, never a phase
 
 
 class DecisionTreePhasePredictor(PhasePredictor):

@@ -3,7 +3,7 @@
 Simulation quantities (watts, joules, seconds) are accumulated floats,
 so exact ``==``/``!=`` comparisons on them are either redundant (the
 value is exactly representable) or wrong (it is not).  The static
-analysis layer (:mod:`repro.devtools.lint`, rule ``no-float-equality``)
+analyzer (:mod:`repro.devtools.analyze`, rule ``no-float-equality``)
 forbids raw float equality inside ``core/`` and ``power/``; these
 helpers are the sanctioned replacements, with one explicit absolute
 tolerance shared across the simulator so that determinism-sensitive

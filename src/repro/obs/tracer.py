@@ -11,7 +11,7 @@ no event objects.  ``NULL_TRACER`` is the shared disabled singleton;
 callers that want a trace substitute a :class:`RingBufferTracer`.
 
 Collectors are deterministic by construction: they never read clocks or
-randomness (enforced by ``repro lint``'s determinism rule, which covers
+randomness (enforced by ``repro analyze``'s determinism rule, which covers
 the ``repro.obs`` package), and recording must never change a simulated
 result — the tracing-determinism property tests hold the whole pipeline
 to that.

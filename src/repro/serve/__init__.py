@@ -67,6 +67,7 @@ from repro.serve.manager import (
 )
 from repro.serve.protocol import (
     MAX_BATCH_SAMPLES,
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     SUPPORTED_PROTOCOLS,
     handle_line,
@@ -110,6 +111,7 @@ __all__ = [
     "DEFAULT_QUEUE_DEPTH",
     "LoadgenResult",
     "MAX_BATCH_SAMPLES",
+    "MAX_LINE_BYTES",
     "MIGRATED_CLOSE_REASON",
     "OverloadedError",
     "PROTOCOL_VERSION",

@@ -28,7 +28,12 @@ import time
 from typing import IO, Awaitable, Callable, Optional
 
 from repro.serve.manager import SessionManager
-from repro.serve.protocol import handle_line
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    error_response,
+    handle_line,
+    serialize_response,
+)
 from repro.serve.session import Clock
 
 #: One request line in, one response line out — the contract both the
@@ -42,6 +47,15 @@ DEFAULT_CLOCK: Clock = time.monotonic
 #: Per-connection request-queue depth; when full, the reader stops
 #: consuming and TCP flow control throttles the client.
 DEFAULT_QUEUE_DEPTH = 64
+
+#: Queue marker for a request line over ``MAX_LINE_BYTES`` (real request
+#: lines are never empty: blank ones are skipped before queueing).
+_OVERLONG = ""
+_OVERLONG_RESPONSE = serialize_response(
+    error_response(
+        "bad_request", f"request line exceeds {MAX_LINE_BYTES} bytes; split it"
+    )
+)
 
 
 def serve_stdio(
@@ -65,6 +79,18 @@ def serve_stdio(
     return handled
 
 
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Drop the rest of an over-long line, through its newline or EOF."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as overrun:
+            await reader.readexactly(overrun.consumed)
+        except asyncio.IncompleteReadError:
+            return
+
+
 async def relay_lines(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
@@ -85,9 +111,16 @@ async def relay_lines(
     async def read_requests() -> None:
         try:
             while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
+                try:
+                    raw = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as eof:
+                    raw = eof.partial  # a last unterminated line, or EOF
+                    if not raw:
+                        break
+                except asyncio.LimitOverrunError:
+                    await _discard_line(reader)
+                    await queue.put(_OVERLONG)
+                    continue
                 line = raw.decode("utf-8", errors="replace").strip()
                 if not line:
                     continue
@@ -102,7 +135,8 @@ async def relay_lines(
             line = await queue.get()
             if line is None:
                 break
-            writer.write((await answer(line) + "\n").encode("utf-8"))
+            response = _OVERLONG_RESPONSE if line == _OVERLONG else await answer(line)
+            writer.write((response + "\n").encode("utf-8"))
             await writer.drain()
 
     read_task = asyncio.ensure_future(read_requests())
@@ -162,7 +196,9 @@ async def serve_tcp_async(
             # logging the cancellation as an unhandled error.
             pass
 
-    server = await asyncio.start_server(on_connect, host=host, port=port)
+    server = await asyncio.start_server(
+        on_connect, host=host, port=port, limit=MAX_LINE_BYTES
+    )
     sockets = server.sockets or []
     bound_port = sockets[0].getsockname()[1] if sockets else port
     if ready is not None and not ready.done():

@@ -79,6 +79,14 @@ SUPPORTED_PROTOCOLS = (1, 2)
 #: Hard per-request ceiling on ``sample_batch`` size (memory bound).
 MAX_BATCH_SAMPLES = 4096
 
+#: Longest request or response line a TCP endpoint reads, in bytes.  A
+#: full ``sample_batch`` of full-precision ``[mem_per_uop, upc]`` pairs
+#: is ~90-180 KB on the wire and its response ~110-140 KB, both past
+#: asyncio's 64 KiB default; 256 bytes per sample leaves room for the
+#: longest float spellings.  A longer request line is answered with one
+#: ``bad_request`` and the connection keeps serving.
+MAX_LINE_BYTES = 256 * MAX_BATCH_SAMPLES
+
 #: Server identification string sent in ``hello`` responses.
 SERVER_NAME = "repro-serve"
 

@@ -25,6 +25,7 @@ phase, so its history stays warm for recovery.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import (
@@ -588,9 +589,9 @@ class PhaseSession:
                 f"{self._samples}, got {start_interval}"
             )
         for offset, (mem_per_uop, _) in enumerate(samples):
-            if mem_per_uop < 0:
+            if not 0.0 <= mem_per_uop < math.inf:
                 raise ConfigurationError(
-                    f"Mem/Uop must be >= 0, got {mem_per_uop} "
+                    f"Mem/Uop must be finite and >= 0, got {mem_per_uop} "
                     f"(batch sample {offset})"
                 )
         clock = self._clock
@@ -744,9 +745,9 @@ class PhaseSession:
                 f"out-of-order sample: expected interval {expected}, "
                 f"got {interval_index}"
             )
-        if mem_per_uop < 0:
+        if not 0.0 <= mem_per_uop < math.inf:  # also false for NaN
             raise ConfigurationError(
-                f"Mem/Uop must be >= 0, got {mem_per_uop}"
+                f"Mem/Uop must be finite and >= 0, got {mem_per_uop}"
             )
 
     def _feed_one(

@@ -80,6 +80,7 @@ from repro.serve.manager import (
     SessionManager,
 )
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     error_response,
     parse_response,
     serialize_response,
@@ -688,7 +689,7 @@ class ShardedServer:
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
         server = await asyncio.start_server(
-            self._on_client, host=self._host, port=self._port
+            self._on_client, host=self._host, port=self._port, limit=MAX_LINE_BYTES
         )
         sockets = server.sockets or []
         if sockets:
@@ -861,7 +862,7 @@ class ShardedServer:
                 link = links.get(worker)
                 if link is None:
                     link = await asyncio.open_connection(
-                        self._host, self._worker_ports[worker]
+                        self._host, self._worker_ports[worker], limit=MAX_LINE_BYTES
                     )
                     links[worker] = link
                 upstream_reader, upstream_writer = link

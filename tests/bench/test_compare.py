@@ -136,9 +136,10 @@ class TestLoadResultsDir:
         with pytest.raises(ConfigurationError):
             load_results_dir(tmp_path / "nope")
 
-    def test_loads_and_upgrades(self, tmp_path):
+    def test_loads_current_and_refuses_legacy(self, tmp_path):
         current = BenchResult.create("modern", metrics={"accuracy": 0.9})
         (tmp_path / "modern.json").write_text(current.to_json())
+        assert set(load_results_dir(tmp_path)) == {"modern"}
         legacy = {
             "benchmark": "applu_in",
             "scalar_samples_per_s": 1.0,
@@ -147,8 +148,8 @@ class TestLoadResultsDir:
         (tmp_path / "batch_feed_throughput.json").write_text(
             json.dumps(legacy)
         )
-        payloads = load_results_dir(tmp_path)
-        assert set(payloads) == {"modern", "batch_feed_throughput"}
+        with pytest.raises(BenchFormatError, match="batch_feed_throughput.json"):
+            load_results_dir(tmp_path)
 
     def test_malformed_artifact_names_the_file(self, tmp_path):
         (tmp_path / "bad.json").write_text("{not json")

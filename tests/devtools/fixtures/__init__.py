@@ -1,1 +1,1 @@
-"""Lint fixtures: deliberately good/bad code, linted as files, never run."""
+"""Analyzer fixtures: deliberately good/bad code, analyzed as files, never run."""

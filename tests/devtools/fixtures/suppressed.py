@@ -2,14 +2,14 @@
 
 
 def sentinel() -> int:
-    phase = 0  # repro-lint: disable=phase-id-range
+    phase = 0  # repro-analyze: disable=phase-id-range -- sentinel
     return phase
 
 
-def shared(into=[]) -> list:  # repro-lint: disable=mutable-default-args
+def shared(into=[]) -> list:  # repro-analyze: disable=mutable-default-args -- fixture
     return into
 
 
-def many(into=[]) -> int:  # repro-lint: disable=mutable-default-args, phase-id-range
-    phase = 9  # repro-lint: disable=all
+def many(into=[]) -> int:  # repro-analyze: disable=mutable-default-args, phase-id-range -- fixture
+    phase = 9  # repro-analyze: disable=all -- fixture
     return phase + len(into)

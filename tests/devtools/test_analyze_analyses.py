@@ -335,6 +335,7 @@ class TestEngineOnFixtures:
         assert rules == {
             "checkpoint-completeness",
             "async-blocking",
+            "determinism",
             "determinism-taint",
             "layering",
             "protocol-conformance",

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.devtools.analyze.engine import (
+    EXIT_ERROR,
+    EXIT_FINDINGS,
     SUPPRESSION_RULE,
     Analysis,
     AnalyzeEngine,
@@ -82,7 +84,18 @@ class TestRegistry:
             "determinism-taint",
             "layering",
             "protocol-conformance",
+            "determinism",
+            "mutable-default-args",
+            "no-float-equality",
+            "phase-id-range",
+            "predictor-contract",
+            "units-docstring",
         }
+
+    def test_registry_snapshot_is_a_copy(self):
+        snapshot = registered_analyses()
+        snapshot["bogus"] = Analysis
+        assert "bogus" not in registered_analyses()
 
     def test_register_rejects_missing_name(self):
         class Nameless(Analysis):
@@ -156,3 +169,34 @@ class TestEngineSuppressions:
             "  # repro-analyze: disable=all -- scratch fixture",
         )
         assert report.findings == []
+
+    def test_unjustified_suppression_of_a_per_file_rule_is_inert(
+        self, tmp_path
+    ):
+        (tmp_path / "m.py").write_text(
+            "phase = 0  # repro-analyze: disable=phase-id-range\n"
+        )
+        report = AnalyzeEngine().run([str(tmp_path)])
+        assert sorted((f.rule, f.line) for f in report.findings) == [
+            ("phase-id-range", 1),
+            (SUPPRESSION_RULE, 1),
+        ]
+
+
+class TestEngineRun:
+    def test_syntax_error_is_exit_two(self, tmp_path):
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        (tmp_path / "ok.py").write_text("phase = 9\n")
+        report = AnalyzeEngine().run([str(tmp_path)])
+        assert report.files_checked == 1
+        assert len(report.errors) == 1
+        assert report.exit_code == EXIT_ERROR
+
+    def test_directory_walk_is_sorted(self, tmp_path):
+        (tmp_path / "b.py").write_text("phase = 9\n")
+        (tmp_path / "a.py").write_text("phase = 9\n")
+        report = AnalyzeEngine().run([str(tmp_path)])
+        assert report.files_checked == 2
+        paths = [f.path for f in report.findings]
+        assert paths == sorted(paths) and len(paths) == 2
+        assert report.exit_code == EXIT_FINDINGS

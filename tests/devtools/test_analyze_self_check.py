@@ -11,10 +11,12 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main as repro_main
 from repro.devtools.analyze import AnalyzeEngine, run_analyze
 from repro.devtools.analyze.cli import main as analyze_main
-from repro.devtools.lint.engine import EXIT_CLEAN
+from repro.devtools.analyze.engine import EXIT_CLEAN
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -56,9 +58,28 @@ class TestCliIntegration:
             "determinism-taint",
             "layering",
             "protocol-conformance",
+            "predictor-contract",
+            "determinism",
+            "phase-id-range",
+            "no-float-equality",
+            "mutable-default-args",
+            "units-docstring",
         ):
             assert name in out
         assert "repro-analyze: disable=" in out
+
+    def test_repro_analyze_nonzero_on_findings(self, tmp_path, capsys):
+        bad = tmp_path / "core" / "bad.py"
+        bad.parent.mkdir()
+        bad.write_text("import time\nstart = time.time()\n")
+        assert repro_main(["analyze", str(tmp_path)]) == 1
+        assert "determinism" in capsys.readouterr().out
+
+    def test_lint_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(["lint", str(SRC)])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_run_analyze_sarif_stream_on_src(self):
         stream = io.StringIO()

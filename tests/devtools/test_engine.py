@@ -1,171 +1,157 @@
-"""Engine-level tests: suppression, reporting, exit codes, registry."""
+"""Engine mechanics through a toy per-file analysis.
+
+Suppression parsing, finding collection, exit codes, the registry's
+guards and the text/JSON reporters, exercised with a test-only rule
+that flags every ``pass`` so the assertions do not depend on any real
+rule's heuristics.
+"""
 
 import ast
 import json
 
 import pytest
 
-from repro.devtools.lint.engine import (
+from repro.devtools.analyze import (
     EXIT_CLEAN,
-    EXIT_ERROR,
     EXIT_FINDINGS,
+    Analysis,
+    AnalyzeEngine,
     Finding,
-    LintEngine,
     LintReport,
-    LintRule,
-    ParsedModule,
-    RuleVisitor,
-    parse_suppressions,
-    register_rule,
-    registered_rules,
-    render_json,
-    render_text,
+    Project,
+    default_analyses,
+    parse_analyze_suppressions,
+    register_analysis,
 )
-from repro.devtools.lint.rules import default_rules
+from repro.devtools.reporting import render_json, render_text
+
+#: The rules that check one file at a time.
+PER_FILE_RULES = {
+    "predictor-contract",
+    "determinism",
+    "phase-id-range",
+    "no-float-equality",
+    "mutable-default-args",
+    "units-docstring",
+}
 
 
-class PassStatementRule(LintRule):
+class PassStatementAnalysis(Analysis):
     """Toy rule used to exercise the engine: flags every ``pass``."""
 
     name = "no-pass"
     description = "flags pass statements (test-only rule)"
 
-    def check(self, module):
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Pass):
-                yield self.finding(module, node, "pass statement")
+    def check(self, project):
+        for module in project.modules():
+            for node in ast.walk(module.parsed.tree):
+                if isinstance(node, ast.Pass):
+                    yield self.finding(
+                        module.path, node.lineno, node.col_offset, "pass statement"
+                    )
 
 
-class ScopedPassRule(PassStatementRule):
-    name = "no-pass-scoped"
-    packages = ("core",)
+def _findings(source):
+    engine = AnalyzeEngine([PassStatementAnalysis()])
+    return engine.analyze_project(Project.from_sources({"m": source}))
 
 
 class TestSuppressionParsing:
     def test_single_rule(self):
-        lines = parse_suppressions("x = 1  # repro-lint: disable=phase-id-range\n")
-        assert lines == {1: frozenset({"phase-id-range"})}
+        parsed = parse_analyze_suppressions(
+            "x = 1  # repro-analyze: disable=phase-id-range -- sentinel\n"
+        )
+        assert parsed[1].rules == ("phase-id-range",)
+        assert parsed[1].matches("phase-id-range")
 
     def test_comma_separated_rules(self):
-        source = "y = 2\nx = 1  # repro-lint: disable=a-rule, b-rule\n"
-        assert parse_suppressions(source) == {2: frozenset({"a-rule", "b-rule"})}
+        source = (
+            "y = 2\n"
+            "x = 1  # repro-analyze: disable=a-rule, b-rule -- fixture\n"
+        )
+        parsed = parse_analyze_suppressions(source)
+        assert list(parsed) == [2]
+        assert parsed[2].rules == ("a-rule", "b-rule")
 
     def test_all_sentinel(self):
-        lines = parse_suppressions("x = 1  # repro-lint: disable=all\n")
-        assert lines == {1: frozenset({"all"})}
+        parsed = parse_analyze_suppressions(
+            "x = 1  # repro-analyze: disable=all -- fixture\n"
+        )
+        assert parsed[1].matches("phase-id-range")
+        assert parsed[1].matches("no-pass")
 
     def test_plain_comments_ignored(self):
-        assert parse_suppressions("x = 1  # a normal comment\n") == {}
+        assert parse_analyze_suppressions("x = 1  # a normal comment\n") == {}
+        # The retired per-file dialect is an ordinary comment now.
+        retired = "x = 1  # repro-lint: disable=phase-id-range\n"
+        assert parse_analyze_suppressions(retired) == {}
 
     def test_module_reports_suppression(self):
-        module = ParsedModule.from_source(
-            "pass  # repro-lint: disable=no-pass\n"
+        findings = _findings(
+            "pass  # repro-analyze: disable=other-rule -- not this one\n"
+            "pass  # repro-analyze: disable=no-pass -- toy\n"
+            "pass\n"
         )
-        assert module.is_suppressed("no-pass", 1)
-        assert not module.is_suppressed("other-rule", 1)
-        assert not module.is_suppressed("no-pass", 2)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("no-pass", 1),
+            ("no-pass", 3),
+        ]
 
 
 class TestEngine:
     def test_findings_from_source(self):
-        engine = LintEngine([PassStatementRule()])
-        findings = engine.lint_source("def f():\n    pass\n")
+        findings = _findings("def f():\n    pass\n")
         assert [f.rule for f in findings] == ["no-pass"]
-        assert findings[0].line == 2
+        assert (findings[0].line, findings[0].col) == (2, 4)
 
     def test_suppressed_finding_dropped(self):
-        engine = LintEngine([PassStatementRule()])
-        findings = engine.lint_source(
-            "def f():\n    pass  # repro-lint: disable=no-pass\n"
+        findings = _findings(
+            "def f():\n    pass  # repro-analyze: disable=no-pass -- toy\n"
         )
         assert findings == []
 
     def test_all_suppression_drops_every_rule(self):
-        engine = LintEngine([PassStatementRule()])
-        findings = engine.lint_source(
-            "def f():\n    pass  # repro-lint: disable=all\n"
+        findings = _findings(
+            "def f():\n    pass  # repro-analyze: disable=all -- toy\n"
         )
         assert findings == []
 
-    def test_package_scope_respected(self):
-        engine = LintEngine([ScopedPassRule()])
-        in_scope = ParsedModule.from_source("pass\n", "src/x/core/mod.py")
-        out_of_scope = ParsedModule.from_source("pass\n", "src/x/cli.py")
-        assert len(engine.lint_module(in_scope)) == 1
-        assert engine.lint_module(out_of_scope) == []
-
-    def test_run_reports_syntax_error(self, tmp_path):
-        bad = tmp_path / "broken.py"
-        bad.write_text("def f(:\n")
-        report = LintEngine([PassStatementRule()]).run([str(tmp_path)])
-        assert report.files_checked == 0
-        assert len(report.errors) == 1
-        assert report.exit_code == EXIT_ERROR
-
-    def test_run_walks_directories_sorted(self, tmp_path):
-        (tmp_path / "b.py").write_text("pass\n")
-        (tmp_path / "a.py").write_text("pass\n")
-        report = LintEngine([PassStatementRule()]).run([str(tmp_path)])
-        assert report.files_checked == 2
-        assert [f.path for f in report.findings] == sorted(
-            f.path for f in report.findings
-        )
-        assert report.exit_code == EXIT_FINDINGS
-
     def test_clean_run_exit_code(self, tmp_path):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        report = LintEngine([PassStatementRule()]).run([str(tmp_path)])
+        report = AnalyzeEngine([PassStatementAnalysis()]).run([str(tmp_path)])
+        assert report.files_checked == 1
         assert report.exit_code == EXIT_CLEAN
 
     def test_default_engine_uses_registered_rules(self):
-        names = {rule.name for rule in LintEngine().rules}
-        assert {
-            "predictor-contract",
-            "determinism",
-            "phase-id-range",
-            "no-float-equality",
-            "mutable-default-args",
-            "units-docstring",
-        } <= names
+        names = {analysis.name for analysis in AnalyzeEngine().analyses}
+        assert PER_FILE_RULES <= names
 
 
 class TestRegistry:
     def test_six_domain_rules_registered(self):
-        names = {rule.name for rule in default_rules()}
-        assert names >= {
-            "predictor-contract",
-            "determinism",
-            "phase-id-range",
-            "no-float-equality",
-            "mutable-default-args",
-            "units-docstring",
-        }
+        names = {analysis.name for analysis in default_analyses()}
+        assert names >= PER_FILE_RULES
 
     def test_duplicate_registration_rejected(self):
-        class Duplicate(LintRule):
+        class Duplicate(Analysis):
             name = "determinism"
             description = "imposter"
 
-            def check(self, module):
+            def check(self, project):
                 return iter(())
 
         with pytest.raises(ValueError):
-            register_rule(Duplicate)
+            register_analysis(Duplicate)
 
     def test_nameless_rule_rejected(self):
-        class Nameless(LintRule):
+        class Nameless(Analysis):
             description = "no name"
 
-            def check(self, module):
+            def check(self, project):
                 return iter(())
 
         with pytest.raises(ValueError):
-            register_rule(Nameless)
-
-    def test_registry_snapshot_is_a_copy(self):
-        snapshot = registered_rules()
-        snapshot["bogus"] = PassStatementRule
-        assert "bogus" not in registered_rules()
+            register_analysis(Nameless)
 
 
 class TestReporters:
@@ -190,18 +176,3 @@ class TestReporters:
         assert payload["files_checked"] == 2
         assert payload["exit_code"] == EXIT_FINDINGS
         assert payload["findings"][0]["rule"] == "no-pass"
-
-
-class TestRuleVisitor:
-    def test_visitor_collects_findings(self):
-        rule = PassStatementRule()
-        module = ParsedModule.from_source("pass\n")
-
-        class Visitor(RuleVisitor):
-            def visit_Pass(self, node):
-                self.report(node, "seen")
-
-        visitor = Visitor(rule, module)
-        visitor.visit(module.tree)
-        assert len(visitor.findings) == 1
-        assert visitor.findings[0].rule == "no-pass"

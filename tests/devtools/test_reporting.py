@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.devtools.lint.engine import Finding, LintReport
+from repro.devtools.analyze.engine import Finding, LintReport
 from repro.devtools.reporting import (
     OUTPUT_FORMATS,
     SARIF_VERSION,
@@ -56,11 +56,11 @@ class TestText:
         )
 
     def test_findings_render_one_line_each_plus_summary(self):
-        out = render_text(_report(), "repro lint").splitlines()
+        out = render_text(_report(), "repro analyze").splitlines()
         assert out[0] == (
             "src/repro/core/x.py:10:4: determinism: wall clock in core"
         )
-        assert out[-1].startswith("repro lint: 2 finding(s), 0 error(s)")
+        assert out[-1].startswith("repro analyze: 2 finding(s), 0 error(s)")
 
 
 class TestJson:
@@ -88,7 +88,7 @@ class TestSarif:
         assert len(run["results"]) == 2
 
     def test_result_location_is_one_based(self):
-        log = json.loads(render_sarif(_report(), "repro lint"))
+        log = json.loads(render_sarif(_report(), "repro analyze"))
         result = log["runs"][0]["results"][0]
         assert result["ruleId"] == "determinism"
         assert result["level"] == "warning"
@@ -101,7 +101,7 @@ class TestSarif:
         report = LintReport(
             files_checked=1, errors=["broken.py: syntax error"]
         )
-        log = json.loads(render_sarif(report, "repro lint"))
+        log = json.loads(render_sarif(report, "repro analyze"))
         (invocation,) = log["runs"][0]["invocations"]
         assert invocation["executionSuccessful"] is False
         assert invocation["toolExecutionNotifications"] == [
@@ -113,7 +113,7 @@ class TestSarif:
 
     def test_clean_run_is_successful_with_no_results(self):
         clean = LintReport(files_checked=1, errors=[])
-        log = json.loads(render_sarif(clean, "repro lint"))
+        log = json.loads(render_sarif(clean, "repro analyze"))
         run = log["runs"][0]
         assert run["results"] == []
         assert run["invocations"][0]["executionSuccessful"] is True
@@ -121,15 +121,18 @@ class TestSarif:
 
 class TestCliSarif:
     def test_repro_lint_emits_valid_sarif(self, tmp_path, capsys):
+        """A per-file rule's finding reaches SARIF with its location."""
         from repro.cli import main as repro_main
 
         (tmp_path / "core").mkdir()
         bad = tmp_path / "core" / "bad.py"
         bad.write_text("import time\nstart = time.time()\n")
-        assert repro_main(["lint", str(tmp_path), "--format", "sarif"]) == 1
+        assert repro_main(["analyze", str(tmp_path), "--format", "sarif"]) == 1
         log = json.loads(capsys.readouterr().out)
-        assert log["runs"][0]["tool"]["driver"]["name"] == "repro lint"
-        assert log["runs"][0]["results"]
+        (result,) = log["runs"][0]["results"]
+        assert result["ruleId"] == "determinism"
+        region = result["locations"][0]["physicalLocation"]["region"]
+        assert region["startLine"] == 2
 
     def test_repro_analyze_emits_valid_sarif(self, tmp_path, capsys):
         from repro.cli import main as repro_main

@@ -3,8 +3,15 @@
 import asyncio
 import io
 import json
+import random
 
-from repro.serve import SessionManager, serve_stdio, serve_tcp_async
+from repro.serve import (
+    MAX_BATCH_SAMPLES,
+    MAX_LINE_BYTES,
+    SessionManager,
+    serve_stdio,
+    serve_tcp_async,
+)
 
 
 def run_stdio(requests, **manager_kwargs):
@@ -67,7 +74,9 @@ async def _with_server(manager, interact, queue_depth=64):
         serve_tcp_async(manager, port=0, queue_depth=queue_depth, ready=ready)
     )
     port = await asyncio.wait_for(ready, timeout=5)
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    reader, writer = await asyncio.open_connection(
+        "127.0.0.1", port, limit=MAX_LINE_BYTES
+    )
     try:
         return await interact(reader, writer)
     finally:
@@ -172,3 +181,32 @@ class TestTCP:
         first, second = asyncio.run(_with_server(SessionManager(), interact))
         assert first["error"] == "bad_request"
         assert second["ok"] is True
+
+    def test_full_batch_and_overlong_line_keep_the_connection(self):
+        rng = random.Random(2006)
+        samples = [
+            [rng.random() / 16, rng.random() * 2] for _ in range(MAX_BATCH_SAMPLES)
+        ]
+
+        async def interact(reader, writer):
+            session = (await _rpc(reader, writer, {"op": "hello"}))["session"]
+            batch = await _rpc(
+                reader,
+                writer,
+                {
+                    "op": "sample_batch",
+                    "session": session,
+                    "start_interval": 0,
+                    "samples": samples,
+                },
+            )
+            writer.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+            await writer.drain()
+            overlong = json.loads(await asyncio.wait_for(reader.readline(), timeout=5))
+            stats = await _rpc(reader, writer, {"op": "stats", "session": session})
+            return batch, overlong, stats
+
+        batch, overlong, stats = asyncio.run(_with_server(SessionManager(), interact))
+        assert batch["count"] == MAX_BATCH_SAMPLES, batch
+        assert overlong["error"] == "bad_request"
+        assert stats["stats"]["samples"] == MAX_BATCH_SAMPLES

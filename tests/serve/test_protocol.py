@@ -407,6 +407,29 @@ class TestSampleBatch:
         assert response["error"] == "unknown_session"
 
 
+class TestNonFiniteMemPerUop:
+    """NaN/Infinity/1e999 parse as floats but are not measurements."""
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("op", ["sample", "sample_batch"])
+    def test_rejected_and_session_untouched(self, manager, op, literal):
+        session = hello(manager)
+        if op == "sample":
+            fields = f'"interval":0,"mem_per_uop":{literal}'
+        else:
+            fields = f'"start_interval":0,"samples":[0.001,[{literal},1.0]]'
+        line = f'{{"op":"{op}","session":"{session}",{fields}}}'
+        response = json.loads(handle_line(manager, line))
+        assert response["error"] == "bad_request", response
+        stats = handle_request(manager, {"op": "stats", "session": session})
+        assert stats["stats"]["samples"] == 0
+        response = handle_request(
+            manager,
+            {"op": "sample", "session": session, "interval": 0, "mem_per_uop": 0.001},
+        )
+        assert response["ok"] is True and response["hit"] is None
+
+
 class TestProtocolNegotiation:
     def test_v1_still_negotiable(self, manager):
         response = handle_request(manager, {"op": "hello", "protocol": 1})

@@ -1,12 +1,15 @@
 """Sharded multi-worker server: routing, aggregation, failure isolation."""
 
 import json
+import random
 import socket
 
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
 from repro.serve import (
+    MAX_BATCH_SAMPLES,
+    MAX_LINE_BYTES,
     ShardedServer,
     aggregate_stats,
     handle_request,
@@ -222,6 +225,28 @@ class TestShardedServerEndToEnd:
             )
             assert response["ok"] is True, response
             assert response["outcomes"] == expected
+            client.rpc(op="bye", session=session)
+        finally:
+            client.close()
+
+    def test_full_batch_and_overlong_line_keep_the_connection(self, sharded):
+        server, port = sharded
+        rng = random.Random(2006)
+        samples = [
+            [rng.random() / 16, rng.random() * 2] for _ in range(MAX_BATCH_SAMPLES)
+        ]
+        client = _Client(port)
+        try:
+            session = client.rpc(op="hello")["session"]
+            response = client.rpc(
+                op="sample_batch", session=session, start_interval=0, samples=samples
+            )
+            assert response.get("count") == MAX_BATCH_SAMPLES, response
+            client._file.write("x" * (MAX_LINE_BYTES + 1) + "\n")
+            client._file.flush()
+            assert json.loads(client._file.readline())["error"] == "bad_request"
+            stats = client.rpc(op="stats", session=session)
+            assert stats["stats"]["samples"] == MAX_BATCH_SAMPLES
             client.rpc(op="bye", session=session)
         finally:
             client.close()
